@@ -6,8 +6,10 @@
 //	rtrbenchgate -current BENCH_ci.json -previous prev/BENCH_ci.json
 //
 // Rules: allocs/event must be exactly 0 (no baseline needed — the
-// zero-allocation steady state is an invariant); ns/event must stay
-// within -max-regress × the previous run (default 1.5, generous against
+// zero-allocation steady state is an invariant); BenchmarkEventLoop/LFD
+// must cost at most 2× BenchmarkEventLoop/LRU ns/event in the same
+// artifact (no baseline needed either); ns/event must stay within
+// -max-regress × the previous run (default 1.5, generous against
 // runner noise). A missing previous artifact skips the trend rule with
 // a note — the first run on a branch records the baseline instead of
 // failing. The full check report prints either way.

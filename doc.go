@@ -37,6 +37,6 @@
 // The benchmarks in bench_test.go regenerate the paper's measured tables;
 // cmd/rtrrepro prints the full evaluation. ARCHITECTURE.md walks the
 // whole pipeline (Spec → Executor/Collector → resultstore → coord →
-// merge/watch render) end to end; see also README.md, DESIGN.md and
-// EXPERIMENTS.md.
+// merge/watch render) end to end; EXPERIMENTS.md lists the experiment
+// IDs, flags and benchmarks.
 package taskreuse

@@ -3,10 +3,15 @@
 // job) into an enforced budget instead of a passive record. It parses
 // the benchmark result lines out of the stream, extracts the custom
 // metrics the hot-loop benchmark reports (ns/event, allocs/event), and
-// gates a current run against two rules:
+// gates a current run against three rules:
 //
 //   - allocs/event must be exactly 0 — the zero-allocation steady state
 //     is an invariant, not a trend, so it needs no baseline to check;
+//   - within the artifact, clairvoyant LFD's hot loop must cost at most
+//     2× LRU's ns/event — a ratio between siblings of one run, so it is
+//     host-independent and needs no previous artifact either (the
+//     next-use index makes an LFD decision O(candidates); a return to
+//     scanning the whole future costs ~5× LRU);
 //   - the trend units (ns/event for the hot loop, ns/table for the
 //     design-time artifact cache) must not regress past a ratio of the
 //     previous run's value — a trend rule, skipped (with a note) for
@@ -135,6 +140,16 @@ type Options struct {
 // artifact from the same runner pool is what the gate enforces.
 var trendUnits = []string{"ns/event", "ns/table"}
 
+// The LFD rule bounds clairvoyant LFD's hot-loop ns/event by a multiple
+// of LRU's in the same artifact. It applies whenever the artifact holds
+// the LFD benchmark; LRU missing from the same run is a failure, not a
+// skip, so renaming a benchmark cannot silently retire the rule.
+const (
+	lfdBench      = "BenchmarkEventLoop/LFD"
+	lruBench      = "BenchmarkEventLoop/LRU"
+	maxLFDOverLRU = 2.0
+)
+
 // Gate checks cur against the rules, using prev as the trend baseline;
 // prev may be nil (no previous artifact — bootstrap run).
 // The returned report always describes every check performed, pass or
@@ -191,6 +206,22 @@ func Gate(cur, prev map[string]Metrics, opt Options) (string, error) {
 			} else {
 				fmt.Fprintf(&b, "ok   %s: %.1f %s vs %.1f previously (%.2f×)\n", n, ns, unit, pns, r)
 			}
+		}
+	}
+	if lfd, ok := cur[lfdBench]["ns/event"]; ok {
+		checked++
+		lru, ok := cur[lruBench]["ns/event"]
+		switch r := lfd / lru; {
+		case !ok || lru <= 0:
+			violations++
+			fmt.Fprintf(&b, "FAIL %s: %.1f ns/event, but this run reports no ns/event for %s to bound it by (budget %.2f×)\n",
+				lfdBench, lfd, lruBench, maxLFDOverLRU)
+		case r > maxLFDOverLRU:
+			violations++
+			fmt.Fprintf(&b, "FAIL %s: %.1f ns/event is %.2f× %s (%.1f), budget %.2f×\n",
+				lfdBench, lfd, r, lruBench, lru, maxLFDOverLRU)
+		default:
+			fmt.Fprintf(&b, "ok   %s: %.1f ns/event is %.2f× %s (%.1f)\n", lfdBench, lfd, r, lruBench, lru)
 		}
 	}
 	if checked == 0 {

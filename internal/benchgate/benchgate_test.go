@@ -171,3 +171,47 @@ func TestGateRefusesEmptyArtifact(t *testing.T) {
 		t.Error("artifact without ns/event or allocs/event passed")
 	}
 }
+
+// TestGateLFDWithinTwiceLRU: the sibling rule bounds LFD's ns/event by
+// 2× LRU's in the same artifact, with no previous artifact needed.
+func TestGateLFDWithinTwiceLRU(t *testing.T) {
+	loop := func(lru, lfd float64) map[string]Metrics {
+		return map[string]Metrics{
+			"BenchmarkEventLoop/LRU": {"ns/event": lru, "allocs/event": 0},
+			"BenchmarkEventLoop/LFD": {"ns/event": lfd, "allocs/event": 0},
+		}
+	}
+	rep, err := Gate(loop(100, 190), nil, Options{})
+	if err != nil {
+		t.Errorf("LFD at 1.9× LRU failed: %v\n%s", err, rep)
+	}
+	if !strings.Contains(rep, "1.90× BenchmarkEventLoop/LRU") {
+		t.Errorf("report does not state the ratio:\n%s", rep)
+	}
+	// The rule is within one run: a previous artifact where LFD was far
+	// slower does not excuse it, and trend-wise 2.5× LFD passes (1.39×).
+	rep, err = Gate(loop(100, 250), loop(100, 180), Options{})
+	if err == nil {
+		t.Fatalf("LFD at 2.5× LRU passed:\n%s", rep)
+	}
+	if !strings.Contains(rep, "FAIL BenchmarkEventLoop/LFD: 250.0 ns/event is 2.50× BenchmarkEventLoop/LRU (100.0), budget 2.00×") {
+		t.Errorf("report does not name the broken ratio:\n%s", rep)
+	}
+}
+
+// TestGateLFDMissingSibling: an artifact with LFD but no LRU cannot be
+// checked against the ratio, and says so by failing.
+func TestGateLFDMissingSibling(t *testing.T) {
+	cur := map[string]Metrics{"BenchmarkEventLoop/LFD": {"ns/event": 100, "allocs/event": 0}}
+	rep, err := Gate(cur, nil, Options{})
+	if err == nil {
+		t.Fatalf("LFD without its LRU sibling passed:\n%s", rep)
+	}
+	if !strings.Contains(rep, "reports no ns/event for BenchmarkEventLoop/LRU") {
+		t.Errorf("report does not name the missing sibling:\n%s", rep)
+	}
+	// Without LFD the rule has nothing to bound.
+	if rep, err := Gate(bench(100, 0), nil, Options{}); err != nil || strings.Contains(rep, "LFD") {
+		t.Errorf("LRU-only artifact: err %v\n%s", err, rep)
+	}
+}

@@ -71,21 +71,6 @@ func (l *List) Reset() {
 	l.head = 0
 }
 
-// AppendWindow appends to dst the reconfiguration sequences of the first
-// w enqueued graphs (all of them when w is negative or exceeds the list)
-// and returns the extended slice. This is the Dynamic List contribution to
-// a Local LFD lookahead. It allocates nothing beyond dst's own growth.
-func (l *List) AppendWindow(dst []taskgraph.TaskID, w int) []taskgraph.TaskID {
-	n := l.Len()
-	if w >= 0 && w < n {
-		n = w
-	}
-	for i := 0; i < n; i++ {
-		dst = l.items[l.head+i].Graph.AppendRecIDs(dst)
-	}
-	return dst
-}
-
 // Feed is a source of arrivals with non-decreasing timestamps.
 type Feed interface {
 	// Next returns the next arrival. ok is false when the feed is

@@ -42,43 +42,6 @@ func TestListFIFO(t *testing.T) {
 	}
 }
 
-func TestAppendWindow(t *testing.T) {
-	var l List
-	l.Push(Item{Graph: g("a", 1, 2)})  // tasks 1,2
-	l.Push(Item{Graph: g("b", 10, 3)}) // tasks 10,11,12
-	l.Push(Item{Graph: g("c", 20, 1)}) // task 20
-
-	tests := []struct {
-		w    int
-		want []taskgraph.TaskID
-	}{
-		{0, nil},
-		{1, []taskgraph.TaskID{1, 2}},
-		{2, []taskgraph.TaskID{1, 2, 10, 11, 12}},
-		{3, []taskgraph.TaskID{1, 2, 10, 11, 12, 20}},
-		{99, []taskgraph.TaskID{1, 2, 10, 11, 12, 20}},
-		{-1, []taskgraph.TaskID{1, 2, 10, 11, 12, 20}},
-	}
-	for _, tt := range tests {
-		got := l.AppendWindow(nil, tt.w)
-		if len(got) != len(tt.want) {
-			t.Errorf("w=%d: got %v, want %v", tt.w, got, tt.want)
-			continue
-		}
-		for i := range tt.want {
-			if got[i] != tt.want[i] {
-				t.Errorf("w=%d: got %v, want %v", tt.w, got, tt.want)
-				break
-			}
-		}
-	}
-	// Appends to existing prefix.
-	got := l.AppendWindow([]taskgraph.TaskID{7}, 1)
-	if len(got) != 3 || got[0] != 7 || got[1] != 1 {
-		t.Errorf("prefix append: %v", got)
-	}
-}
-
 func TestNewSequence(t *testing.T) {
 	a, b := g("a", 1, 1), g("b", 10, 1)
 	f := NewSequence(a, b)

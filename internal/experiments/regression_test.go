@@ -15,7 +15,8 @@ import (
 // run (500 apps, seed 2011, R=4, 4 ms) for the four key configurations.
 // Any change to the scheduler's semantics — tie-breaking, event ordering,
 // candidate rules — will move these integers; if that happens on purpose,
-// re-derive DESIGN.md §2 against the paper's figures before updating.
+// re-check the fig2/fig3 worked examples against the paper's figures
+// (EXPERIMENTS.md §"Experiment IDs") before updating.
 func TestFig9RegressionPin(t *testing.T) {
 	opt := DefaultOptions()
 	pool, seq, err := opt.Workload()

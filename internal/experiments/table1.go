@@ -47,7 +47,9 @@ func NewWorstCase(lookahead []taskgraph.TaskID) WorstCase {
 // never-reused candidate: every candidate's configuration occurs, but only
 // in the last four positions of the lookahead, so all four scans run the
 // full list. The paper's implementation pays this cost in the absent-
-// victim case; ours pays it here.
+// victim case; ours pays it here. The request carries no next-use index,
+// so selection runs the paper's linear scan, not the simulator's O(1)
+// lookup.
 func NewLateHitCase(lookahead []taskgraph.TaskID) WorstCase {
 	look := append([]taskgraph.TaskID(nil), lookahead...)
 	wc := NewWorstCase(look)
@@ -114,7 +116,7 @@ func tableICases(full []taskgraph.TaskID) []tableICase {
 // necessarily sequential, unlike the simulation sweeps: concurrent
 // scenarios would perturb each other's clocks. The results are
 // machine-dependent; the meaningful comparison is the ratio column (see
-// DESIGN.md §3 on the PowerPC substitution).
+// EXPERIMENTS.md §"Benchmarks" on the PowerPC substitution).
 func MeasureTableI(opt Options) ([]TableIRow, error) {
 	opt = opt.normalized()
 	seq, err := opt.sequence()

@@ -20,7 +20,8 @@
 // next event.
 //
 // Semantics that the paper leaves implicit were reverse-engineered from
-// its worked figures and are locked in by golden tests (see DESIGN.md §2):
+// its worked figures and are locked in by golden tests (the fig2/fig3
+// worked-example checks, EXPERIMENTS.md §"Experiment IDs"):
 // applications execute strictly sequentially (the loads of graph k+1 begin
 // when graph k completes); eviction candidates are units that are neither
 // executing nor holding a configuration still awaiting execution in the
@@ -28,7 +29,7 @@
 //
 // The steady-state event loop is allocation-free: a Runner owns every
 // piece of per-run state (engine queue, unit array, instance bookkeeping,
-// lookahead and candidate buffers) and reuses it across runs, so a sweep
+// next-use index and candidate buffer) and reuses it across runs, so a sweep
 // worker simulates its whole slice of the grid on warm memory. See
 // ARCHITECTURE.md §"The hot loop" for the design and its invariant —
 // reuse never changes simulation output.
@@ -59,7 +60,7 @@ type Config struct {
 	// natural extension for heterogeneous configurations.
 	LatencyFor func(taskgraph.TaskID) simtime.Time
 	// Policy selects replacement victims. Its Window() governs how much
-	// lookahead the manager builds for it.
+	// of the future request sequence the manager lets it see.
 	Policy policy.Policy
 	// SkipEvents enables the run-time skip mechanism of Fig. 8. It needs
 	// Mobility to be useful; with all-zero mobilities it never fires.
@@ -194,7 +195,7 @@ func resize[T any](s []T, n int) []T {
 
 // Runner is a reusable simulation runner. One Runner executes any number
 // of runs sequentially, recycling every internal structure — event queue,
-// unit array, instance bookkeeping, lookahead and candidate buffers — so
+// unit array, instance bookkeeping, next-use index and candidate buffer — so
 // that after the first run the event loop allocates nothing. Reuse is
 // observationally invisible: a reused Runner produces byte-identical
 // results to a fresh one (property-tested). A Runner is not safe for
@@ -224,7 +225,7 @@ type Runner struct {
 	preloadDoneRUs  []int
 	preloadInFlight taskgraph.TaskID
 
-	lookbuf []taskgraph.TaskID
+	next    nextUse // built only for policies that look ahead
 	candbuf []policy.Candidate
 
 	res Result
@@ -324,7 +325,7 @@ func (r *Runner) Reset(cfg Config) error {
 //
 // The feed is drained up front: arrival times are fixed, so each becomes
 // a scheduled new_task_graph event. (Clairvoyant LFD additionally peeks
-// at not-yet-arrived items through the drained slice.)
+// at not-yet-arrived items through the next-use index built here.)
 func (r *Runner) start(feed dynlist.Feed) error {
 	for {
 		it, ok := feed.Next()
@@ -345,6 +346,11 @@ func (r *Runner) start(feed dynlist.Feed) error {
 		tasks += it.Graph.NumTasks()
 	}
 	r.protected.reset(maxID)
+	if r.cfg.Policy.Window() != policy.WindowNone {
+		if err := r.next.build(r.arrivals, maxID); err != nil {
+			return err
+		}
+	}
 	if cap(r.res.Completions) < len(r.arrivals) {
 		r.res.Completions = make([]simtime.Time, 0, len(r.arrivals))
 	}
@@ -652,9 +658,7 @@ func (r *Runner) replacementModule() bool {
 		return true
 	}
 
-	dec := r.cfg.Policy.SelectVictim(policy.Request{
-		Task: id, Now: r.engine.Now(), Lookahead: r.lookahead(),
-	}, cands)
+	dec := r.cfg.Policy.SelectVictim(r.request(id), cands)
 	r.checkDecision(dec, cands)
 
 	// Skip events (Fig. 8, steps 4–5): protect a reusable victim by
@@ -759,9 +763,7 @@ func (r *Runner) preloadStep() bool {
 			if len(cands) == 0 {
 				return false
 			}
-			dec := r.cfg.Policy.SelectVictim(policy.Request{
-				Task: id, Now: r.engine.Now(), Lookahead: r.lookahead(),
-			}, cands)
+			dec := r.cfg.Policy.SelectVictim(r.request(id), cands)
 			r.checkDecision(dec, cands)
 			// Conservative mode: a preload is opportunistic, so never pay
 			// for it with a configuration the lookahead says will be
@@ -801,34 +803,28 @@ func (r *Runner) preloadStep() bool {
 	return false
 }
 
-// lookahead builds the future request sequence visible to the policy: the
+// request builds the policy request for loading id. A policy that looks
+// ahead gets the next-use index, windowed to the future it may see: the
 // remainder of the running graph's reconfiguration sequence (beyond the
 // entry being decided), then the Dynamic List window, then — for the
-// clairvoyant window — every arrival still to come. It reuses one buffer
-// across calls and allocates nothing once that buffer has grown to the
-// workload's high-water mark.
-func (r *Runner) lookahead() []taskgraph.TaskID {
+// clairvoyant window — every arrival still to come.
+func (r *Runner) request(id taskgraph.TaskID) policy.Request {
+	req := policy.Request{Task: id, Now: r.engine.Now()}
 	w := r.cfg.Policy.Window()
-	buf := r.lookbuf[:0]
 	if w == policy.WindowNone {
-		r.lookbuf = buf
-		return buf
+		return req
 	}
-	c := r.cur
+	// The running graph is arrival k: applications run in arrival order,
+	// so the Dynamic List holds exactly arrivals k+1 … arrived-1.
+	k := r.arrived - r.dl.Len() - 1
+	last := len(r.arrivals)
+	if w != policy.WindowAll {
+		last = k + 1 + min(w, r.dl.Len())
+	}
 	// During cross-graph preloading the running graph's sequence is
-	// already exhausted (recPos == len); otherwise skip the entry being
-	// decided right now.
-	if from := c.recPos + 1; from < len(c.rec) {
-		for _, li := range c.rec[from:] {
-			buf = append(buf, c.g.Task(li).ID)
-		}
-	}
-	buf = r.dl.AppendWindow(buf, w)
-	if w == policy.WindowAll {
-		for _, it := range r.arrivals[r.arrived:] {
-			buf = it.Graph.AppendRecIDs(buf)
-		}
-	}
-	r.lookbuf = buf
-	return buf
+	// already exhausted (recPos == len), so the window opens at arrival
+	// k+1.
+	r.next.window(k, r.cur.recPos, last)
+	req.Next = &r.next
+	return req
 }

@@ -15,14 +15,18 @@
 // A policy only chooses a victim among the candidates the execution
 // manager deems replaceable; the skip-events mechanism (Fig. 8) is applied
 // by the manager on top of the policy's decision, using the reusability
-// information the lookahead scan produces.
+// information the forward-distance query produces.
 //
-// The lookahead-based policies deliberately use the linear-scan
-// implementation the paper describes and times in Table I ("the
-// replacement module always has to search in the whole list"): for each
-// candidate, the forward distance is found by scanning the lookahead
-// sequence front to back. This keeps the measured run-time behaviour
-// faithful to the paper's.
+// A candidate's forward distance comes from one of two sources. The
+// simulation manager sets Request.Next, a next-use index it builds once
+// per run, and leaves Request.Lookahead empty: each query then costs
+// O(1) amortised instead of a pass over the whole future. Without Next,
+// policies fall back to the linear scan the paper describes and times in
+// Table I ("the replacement module always has to search in the whole
+// list"): the lookahead sequence is scanned front to back once per
+// candidate. Table I still times that scan, so its measured run-time
+// behaviour stays faithful to the paper's. Both sources yield the same
+// distance, so a decision does not depend on which one is used.
 package policy
 
 import (
@@ -56,9 +60,33 @@ type Request struct {
 	Now simtime.Time
 	// Lookahead is the future request sequence visible to the policy,
 	// nearest first. Its extent is governed by the policy's Window: the
-	// manager passes the remainder of the running graph plus the Dynamic
-	// List window (or the full future for WindowAll).
+	// remainder of the running graph plus the Dynamic List window (or the
+	// full future for WindowAll). It is empty when Next is set — the
+	// simulation manager answers distance queries through Next and never
+	// materialises the sequence; callers without an index (Table I's
+	// worst case, tests) pass the sequence here instead.
 	Lookahead []taskgraph.TaskID
+	// Next, when non-nil, answers forward-distance queries over the same
+	// visible sequence and takes precedence over Lookahead.
+	Next NextUse
+}
+
+// NextUse answers "how far ahead is this configuration requested next?"
+// over the request sequence a policy may see.
+type NextUse interface {
+	// Distance returns the index of task's first occurrence in the
+	// visible request sequence (nearest first), or -1 when it does not
+	// occur — exactly what scanning Request.Lookahead would return.
+	Distance(task taskgraph.TaskID) int
+}
+
+// distance returns task's forward distance for req: through the
+// next-use index when one is set, otherwise by scanning the lookahead.
+func (req Request) distance(task taskgraph.TaskID) int {
+	if req.Next != nil {
+		return req.Next.Distance(task)
+	}
+	return scanDistance(task, req.Lookahead)
 }
 
 // Decision is the outcome of victim selection.
@@ -68,11 +96,11 @@ type Decision struct {
 	// Victim is the configuration being evicted.
 	Victim taskgraph.TaskID
 	// Distance is the victim's forward distance: the index of its next
-	// occurrence in the lookahead, or -1 when it does not occur (never
-	// reused as far as the policy can see). Policies that do not inspect
-	// the future report -1.
+	// occurrence in the visible request sequence, or -1 when it does not
+	// occur (never reused as far as the policy can see). Policies that do
+	// not inspect the future report -1.
 	Distance int
-	// Reusable reports whether the victim occurs in the lookahead; the
+	// Reusable reports whether the victim occurs in that sequence; the
 	// manager's skip-events logic fires only for reusable victims.
 	Reusable bool
 }
@@ -133,7 +161,8 @@ type Policy interface {
 }
 
 // scanDistance returns the index of task's first occurrence in lookahead,
-// or -1. This is the linear search the paper's Table I times.
+// or -1. This is the linear search the paper's Table I times; simulations
+// use Request.Next instead.
 func scanDistance(task taskgraph.TaskID, lookahead []taskgraph.TaskID) int {
 	for i, id := range lookahead {
 		if id == task {
@@ -143,7 +172,7 @@ func scanDistance(task taskgraph.TaskID, lookahead []taskgraph.TaskID) int {
 	return -1
 }
 
-// decide fills a Decision for candidate c given its scanned distance.
+// decide fills a Decision for candidate c given its forward distance.
 func decide(c Candidate, dist int) Decision {
 	return Decision{RU: c.RU, Victim: c.Task, Distance: dist, Reusable: dist >= 0}
 }
@@ -166,7 +195,7 @@ func (lru) SelectVictim(req Request, cands []Candidate) Decision {
 			best = c
 		}
 	}
-	return decide(best, scanDistance(best.Task, req.Lookahead))
+	return decide(best, req.distance(best.Task))
 }
 
 // --- MRU -----------------------------------------------------------------
@@ -187,7 +216,7 @@ func (mru) SelectVictim(req Request, cands []Candidate) Decision {
 			best = c
 		}
 	}
-	return decide(best, scanDistance(best.Task, req.Lookahead))
+	return decide(best, req.distance(best.Task))
 }
 
 // --- FIFO ----------------------------------------------------------------
@@ -208,7 +237,7 @@ func (fifo) SelectVictim(req Request, cands []Candidate) Decision {
 			best = c
 		}
 	}
-	return decide(best, scanDistance(best.Task, req.Lookahead))
+	return decide(best, req.distance(best.Task))
 }
 
 // --- Random --------------------------------------------------------------
@@ -239,7 +268,7 @@ func (r *random) Reset() { r.src.Seed(r.seed) }
 
 func (r *random) SelectVictim(req Request, cands []Candidate) Decision {
 	c := cands[r.rng.Intn(len(cands))]
-	return decide(c, scanDistance(c.Task, req.Lookahead))
+	return decide(c, req.distance(c.Task))
 }
 
 // --- LFD family ----------------------------------------------------------
@@ -277,13 +306,13 @@ func (p *lfd) Window() int  { return p.window }
 // selects the first candidate it finds").
 func (p *lfd) SelectVictim(req Request, cands []Candidate) Decision {
 	best := cands[0]
-	bestDist := scanDistance(best.Task, req.Lookahead)
+	bestDist := req.distance(best.Task)
 	if bestDist < 0 {
 		// First candidate is already never-reused; nothing can beat it.
 		return decide(best, bestDist)
 	}
 	for _, c := range cands[1:] {
-		d := scanDistance(c.Task, req.Lookahead)
+		d := req.distance(c.Task)
 		if d < 0 {
 			return decide(c, d)
 		}

@@ -213,3 +213,16 @@ func TestScanDistanceWorstCase(t *testing.T) {
 		t.Errorf("late hit distance = %d", d)
 	}
 }
+
+// TestNextTakesPrecedence: with Next set the policy asks the index and
+// ignores Lookahead.
+func TestNextTakesPrecedence(t *testing.T) {
+	cands := []Candidate{cand(0, 1, 0, 0), cand(1, 2, 0, 0)}
+	// The lookahead says task 2 is never reused; the index says task 1
+	// is requested later than task 2, which Next must win on.
+	req := Request{Lookahead: ids(1), Next: firstUse{1: 7, 2: 3}}
+	d := NewLFD().SelectVictim(req, cands)
+	if d.Victim != 1 || d.Distance != 7 || !d.Reusable {
+		t.Errorf("decision = %+v, want task 1 at distance 7 from Next", d)
+	}
+}

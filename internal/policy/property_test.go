@@ -124,3 +124,48 @@ func TestDeterministicPolicies(t *testing.T) {
 		}
 	}
 }
+
+// firstUse is a NextUse over a materialised sequence: each task's first
+// position, as a next-use index would report it.
+type firstUse map[taskgraph.TaskID]int
+
+func indexOf(look []taskgraph.TaskID) firstUse {
+	f := make(firstUse)
+	for i, id := range look {
+		if _, ok := f[id]; !ok {
+			f[id] = i
+		}
+	}
+	return f
+}
+
+func (f firstUse) Distance(id taskgraph.TaskID) int {
+	if d, ok := f[id]; ok {
+		return d
+	}
+	return -1
+}
+
+// TestNextMatchesLookahead: every policy decides identically whether it
+// scans Request.Lookahead or queries an equivalent Request.Next.
+func TestNextMatchesLookahead(t *testing.T) {
+	local, err := NewLocalLFD(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pols := []Policy{NewLRU(), NewMRU(), NewFIFO(), NewLFD(), local}
+	rng := rand.New(rand.NewSource(13))
+	scanRand, nextRand := NewRandom(5), NewRandom(5)
+	for trial := 0; trial < 500; trial++ {
+		req, cands := genScenario(rng)
+		indexed := Request{Task: req.Task, Now: req.Now, Next: indexOf(req.Lookahead)}
+		for _, p := range pols {
+			if got, want := p.SelectVictim(indexed, cands), p.SelectVictim(req, cands); got != want {
+				t.Fatalf("trial %d, %s: indexed %+v, scanned %+v", trial, p.Name(), got, want)
+			}
+		}
+		if got, want := nextRand.SelectVictim(indexed, cands), scanRand.SelectVictim(req, cands); got != want {
+			t.Fatalf("trial %d, Random: indexed %+v, scanned %+v", trial, got, want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -365,7 +366,10 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 				// (collection stops at the first scenario error, so the
 				// two never both occur from one cancel) — scenario
 				// errors straggling in afterwards must not displace it.
-				if collectErr == nil && (firstPos < 0 || done.pos < firstPos) {
+				// Nor may a store wait the cancellation cut short, even
+				// at a lower position: it is a consequence, not a cause.
+				if collectErr == nil && !errors.Is(done.err, errStoreWaitCancelled) &&
+					(firstPos < 0 || done.pos < firstPos) {
 					firstPos, firstErr = done.pos, done.err
 				}
 				cancel()
@@ -706,6 +710,10 @@ type StoreWait struct {
 	Done func() (bool, error)
 }
 
+// errStoreWaitCancelled is a store wait's answer once the sweep has
+// failed elsewhere.
+var errStoreWaitCancelled = errors.New("sweep cancelled while waiting for the store")
+
 // awaitStored serves one scenario from the store the moment a producer
 // lands it, per the StoreWait contract above. stop aborts the wait when
 // the sweep fails elsewhere.
@@ -739,7 +747,7 @@ func (e Executor) awaitStored(sp *Spec, sc Scenario, key string, stop <-chan str
 		}
 		select {
 		case <-stop:
-			return nil, fmt.Errorf("sweep cancelled while waiting for the store")
+			return nil, errStoreWaitCancelled
 		case <-time.After(poll):
 		}
 	}

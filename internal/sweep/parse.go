@@ -6,8 +6,14 @@ import (
 	"strings"
 )
 
+// maxRURange is the most unit counts one RU range may expand to. A sweep
+// runs a scenario per count, so a wider range is a typo, not a campaign —
+// and expanding it would allocate the whole axis before anything runs.
+const maxRURange = 1024
+
 // ParseRUs parses a CLI unit-count axis: a single count ("4"), an
-// inclusive range ("4-10"), or a comma list ("3,4,6").
+// inclusive range ("4-10") of at most 1024 counts, or a comma list
+// ("3,4,6").
 func ParseRUs(s string) ([]int, error) {
 	s = strings.TrimSpace(s)
 	if from, to, ok := strings.Cut(s, "-"); ok {
@@ -15,6 +21,9 @@ func ParseRUs(s string) ([]int, error) {
 		hi, err2 := strconv.Atoi(strings.TrimSpace(to))
 		if err1 != nil || err2 != nil || lo < 1 || hi < lo {
 			return nil, fmt.Errorf("sweep: bad RU range %q", s)
+		}
+		if hi-lo >= maxRURange {
+			return nil, fmt.Errorf("sweep: RU range %q spans more than %d unit counts", s, maxRURange)
 		}
 		out := make([]int, 0, hi-lo+1)
 		for r := lo; r <= hi; r++ {

@@ -45,6 +45,24 @@ func TestParseRUs(t *testing.T) {
 	}
 }
 
+// TestParseRUsRejectsOversizedRange: a range wider than maxRURange is
+// refused with a message naming the limit, before anything is allocated.
+func TestParseRUsRejectsOversizedRange(t *testing.T) {
+	if got, err := ParseRUs("1-1024"); err != nil || len(got) != maxRURange {
+		t.Fatalf("ParseRUs(1-1024) = %d counts, %v", len(got), err)
+	}
+	for _, in := range []string{"1-1025", "1-100000000000000", "5-9223372036854775807"} {
+		_, err := ParseRUs(in)
+		if err == nil {
+			t.Fatalf("ParseRUs(%q) accepted", in)
+		}
+		want := `sweep: RU range "` + in + `" spans more than 1024 unit counts`
+		if err.Error() != want {
+			t.Errorf("ParseRUs(%q) error %q, want %q", in, err, want)
+		}
+	}
+}
+
 func TestParseShard(t *testing.T) {
 	cases := []struct {
 		in      string

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -115,6 +116,45 @@ func TestStoreWaitDeadPoolFailsSweep(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("dead pool hung the sweep")
+	}
+}
+
+// TestStoreWaitDeadVerdictBeatsCancelledWait: the worker that receives
+// the dead-pool verdict cancels the sweep, which cuts the other worker's
+// store wait short. That cancelled wait must not be reported in place of
+// the verdict, even when it belongs to the lower scenario position.
+// Spec-order dispatch makes the held first waiter usually the lowest
+// position; which worker gets the verdict is still up to the scheduler,
+// so the race runs several times.
+func TestStoreWaitDeadVerdictBeatsCancelledWait(t *testing.T) {
+	spec := fig9Spec(t, 4)
+	for round := 0; round < 8; round++ {
+		var (
+			calls  atomic.Int64
+			second = make(chan struct{})
+			once   sync.Once
+		)
+		ex := Executor{
+			Workers: 2, Store: openStore(t), RequireStored: true, SpecOrderDispatch: true,
+			StoreWait: &StoreWait{Poll: time.Minute, Done: func() (bool, error) {
+				if calls.Add(1) == 1 {
+					<-second // hold the first waiter until the verdict is out
+					return false, nil
+				}
+				once.Do(func() { close(second) })
+				return false, fmt.Errorf("pool looks dead")
+			}},
+		}
+		done := make(chan error, 1)
+		go func() { done <- ex.Collect(spec, Discard) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "pool looks dead") {
+				t.Fatalf("round %d: error %q does not carry the liveness verdict", round, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("dead pool hung the sweep")
+		}
 	}
 }
 

@@ -47,9 +47,8 @@ type Graph struct {
 	succs [][]int // successor local indices, per task
 	preds [][]int // predecessor local indices, per task
 	byID  map[TaskID]int
-	rec   []int    // reconfiguration sequence (local indices, topological)
-	recID []TaskID // rec as TaskIDs, precomputed once at Build time
-	maxID TaskID   // largest TaskID in the graph
+	rec   []int  // reconfiguration sequence (local indices, topological)
+	maxID TaskID // largest TaskID in the graph
 
 	fpOnce sync.Once // guards fp (content fingerprint, computed lazily)
 	fp     string
@@ -122,18 +121,11 @@ func (g *Graph) RecSequence() []int { return g.rec }
 // RecSequenceIDs returns the reconfiguration sequence as TaskIDs, in a
 // fresh slice.
 func (g *Graph) RecSequenceIDs() []TaskID {
-	out := make([]TaskID, len(g.recID))
-	copy(out, g.recID)
+	out := make([]TaskID, len(g.rec))
+	for k, i := range g.rec {
+		out[k] = g.tasks[i].ID
+	}
 	return out
-}
-
-// AppendRecIDs appends the reconfiguration sequence's TaskIDs to dst and
-// returns the extended slice. Unlike RecSequenceIDs it allocates nothing
-// beyond dst's own growth — the IDs are precomputed at Build time — which
-// is what keeps lookahead construction in the simulation hot loop
-// allocation-free.
-func (g *Graph) AppendRecIDs(dst []TaskID) []TaskID {
-	return append(dst, g.recID...)
 }
 
 // TotalExec returns the sum of all task execution times (the serial
@@ -271,10 +263,6 @@ func (b *Builder) Build() (*Graph, error) {
 		g.rec = rec
 	} else {
 		g.rec = defaultRecSequence(g, order)
-	}
-	g.recID = make([]TaskID, len(g.rec))
-	for k, i := range g.rec {
-		g.recID[k] = g.tasks[i].ID
 	}
 	for _, t := range g.tasks {
 		if t.ID > g.maxID {
