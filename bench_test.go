@@ -21,7 +21,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/resultstore"
 	"repro/internal/simtime"
-	"repro/internal/storetest"
 	"repro/internal/sweep"
 	"repro/internal/taskgraph"
 	"repro/internal/workload"
@@ -327,14 +326,17 @@ func BenchmarkFig9ArtifactWarm(b *testing.B) {
 
 // BenchmarkFig9SweepDispatch isolates the heavy-tail dispatch fix on a
 // small pool, in the grid shape where a static spec-order feed is
-// weakest: clairvoyant LFD at R=4 costs ~20× LRU (full-future scans
-// under maximum contention), and on a descending-RU grid — a perfectly
-// natural way to write the axis — that most expensive scenario has the
-// highest spec index, so spec order starts it when everything else is
-// already draining and the whole pool idles behind one straggler.
-// Cost-order (longest-processing-time) dispatch starts it first and
-// backfills with the cheap scenarios, cutting the tail regardless of
-// how the user happened to order the axes. Collection order and results
+// weakest: on a descending-RU grid — a perfectly natural way to write
+// the axis — the contended R=4 block, the grid's most expensive, has
+// the highest spec indices, so spec order starts it when everything
+// else is already draining. Cost-order (longest-processing-time)
+// dispatch starts it first and backfills with the cheap scenarios,
+// cutting the tail regardless of how the user happened to order the
+// axes. With O(candidates) LFD decisions the straggler costs only
+// about 1.2× LRU at R=4 on a 60-app fig9 grid, but the ordering pays
+// end to end: spec order took 0.53–0.60 s against LPT's 0.45–0.49 s on
+// perfbench's fig9-scaled workload (6 alternating pairs, 2-vCPU Linux
+// host, Go 1.24). Collection order and results
 // are byte-identical either way (see TestSpecOrderDispatchIdentical);
 // the ascending Fig. 9 grids dodge the worst case only by luck of
 // putting R=4 first.
@@ -359,58 +361,6 @@ func BenchmarkFig9SweepDispatch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := ex.RunSummaries(spec); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig9SweepMeasuredDispatch contrasts the static cost heuristic
-// with measured-cost dispatch on the sweep's tail latency: the same
-// descending-RU grid as BenchmarkFig9SweepDispatch (the ~20× LFD-at-R=4
-// straggler last in spec order), re-simulated in full on a 4-worker pool.
-// A cold run populates the store with per-scenario wall times, the
-// entries are then invalidated exactly as a schema bump would (timings
-// survive at the same keys, outcomes do not), and each variant re-runs
-// the whole grid: StaticHeuristic without the store, MeasuredCost with it
-// — dispatch ranked by last run's real measurements instead of the
-// policy-family guess. The measured total is the sweep's completion time,
-// i.e. the straggler tail the LPT feed exists to cut; the measured
-// variant's margin over the heuristic is what warm re-runs (and the
-// coordinator's crash-recovery re-runs) gain on grids where the heuristic
-// misjudges relative costs. Results are byte-identical either way.
-func BenchmarkFig9SweepMeasuredDispatch(b *testing.B) {
-	pool, seq := fig9Workload(b)
-	spec := fig9SweepSpec(b, pool, seq)
-	spec.RUs = []int{10, 9, 8, 7, 6, 5, 4}
-	store, err := resultstore.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Cold run: warms the mobility cache and records every scenario's
-	// measured wall time in the store.
-	if _, err := (sweep.Executor{Store: store}).Run(spec); err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name string
-		ex   sweep.Executor
-	}{
-		{"StaticHeuristic", sweep.Executor{Workers: 4}},
-		{"MeasuredCost", sweep.Executor{Workers: 4, Store: store}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				// Each re-simulation writes fresh current-schema entries;
-				// re-stale them outside the timed region so every
-				// iteration measures a full re-simulation with hints, not
-				// a warm store serve.
-				b.StopTimer()
-				storetest.StaleifySchema(b, store)
-				b.StartTimer()
-				if _, err := bc.ex.RunSummaries(spec); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -28,7 +28,7 @@
 //     collectors and row renderers.
 //   - internal/resultstore — the persisted, content-addressed store of
 //     scenario results (canonical config-hash keys, atomic writes,
-//     measured timings for dispatch).
+//     in-place schema invalidation).
 //   - internal/coord — the file-based shard coordinator: self-healing
 //     multi-host pools with leases, TTL expiry and watch/drain verdicts.
 //   - internal/experiments — regenerates every table and figure, each

@@ -18,9 +18,9 @@ type Entry struct {
 
 	// ElapsedNS is the measured wall time, in nanoseconds, of simulating
 	// this scenario (its own run — not the shared ideal baseline or the
-	// design-time phase, which are amortized across a sweep). It is a
-	// dispatch-cost measurement, never part of the result: reports ignore
-	// it, and ElapsedHint serves it across schema versions.
+	// design-time phase, which are amortized across a sweep). Like
+	// Attempts it is operational metadata, never part of the result:
+	// reports ignore it, and it does not steer dispatch.
 	ElapsedNS int64 `json:"elapsed_ns,omitempty"`
 
 	// Attempts is how many executions the scenario took before this

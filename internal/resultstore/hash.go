@@ -27,8 +27,7 @@ type Hash struct {
 // while the schema version (recorded inside each entry) governs whether
 // a stored outcome is still servable. Keeping keys stable across schema
 // bumps means a bump's re-simulation overwrites old entries in place
-// instead of orphaning them, and their measured timings keep feeding
-// dispatch-cost estimation (Store.ElapsedHint) until overwritten.
+// instead of orphaning them.
 func NewHash() *Hash {
 	return &Hash{h: sha256.New()}
 }

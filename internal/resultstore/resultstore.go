@@ -30,17 +30,14 @@
 // remains, along with entries that fail to decode or whose recorded key
 // does not match their filename.
 //
-// Entries additionally record the measured wall time of their simulation
-// (elapsed_ns, schema v2). It is dispatch steering, never part of the
-// result: ElapsedHint serves it across schema versions so even the full
-// re-run after a bump dispatches on real measurements, and reports never
-// see it.
+// Entries additionally record operational metadata that is never part
+// of the result: the measured wall time of their simulation (elapsed_ns,
+// schema v2) and the retry bookkeeping. Reports never see either.
 //
-// Three lookups with three accounting rules: Get serves a full entry and
+// Two lookups with two accounting rules: Get serves a full entry and
 // counts a hit or a miss; Probe serves identically but counts only the
 // hit — it is what watch-mode merges poll while remote shards are still
-// populating, where "not here yet" is not a miss; ElapsedHint reads only
-// the timing, valid under any schema, and counts nothing.
+// populating, where "not here yet" is not a miss.
 package resultstore
 
 import (
@@ -49,7 +46,6 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/backendurl"
 )
@@ -63,9 +59,7 @@ import (
 // Since version 2 the schema version lives only inside the entry, not in
 // the config-hash key: a bump makes every old entry unservable (Get
 // rejects it) without moving it to a different path, so the
-// re-simulation overwrites it in place — no orphaned files — and its
-// measured timing keeps feeding dispatch-cost estimation through
-// ElapsedHint until then.
+// re-simulation overwrites it in place — no orphaned files.
 //
 // v2: entries gained the measured ElapsedNS timing and keys stopped
 // folding in the schema version.
@@ -281,38 +275,6 @@ func (s *Store) put(key string, e *Entry) error {
 		return fmt.Errorf("resultstore: encode %s: %w", key, err)
 	}
 	return s.b.Store(key, data)
-}
-
-// elapsedProbe is the minimal decode ElapsedHint performs: the recorded
-// key (a self-consistency check) and the measured timing. Every other
-// entry field — including the schema version — is irrelevant to a cost
-// hint.
-type elapsedProbe struct {
-	Key       string `json:"key"`
-	ElapsedNS int64  `json:"elapsed_ns"`
-}
-
-// ElapsedHint returns the measured simulation wall time recorded under
-// key, for dispatch-cost estimation only. Unlike Get it accepts entries
-// written under any schema version: keys deliberately exclude the schema
-// version, so after a bump the entry at the same key is unservable but
-// its timing is still the best available estimate of what re-simulating
-// the scenario will cost. A hint is never a serve — lookups here do not
-// touch the hit/miss counters, and a wrong hint costs wall clock, never
-// correctness.
-func (s *Store) ElapsedHint(key string) (time.Duration, bool) {
-	if validKey(key) != nil {
-		return 0, false
-	}
-	data, ok := s.b.Load(key)
-	if !ok {
-		return 0, false
-	}
-	var e elapsedProbe
-	if err := json.Unmarshal(data, &e); err != nil || e.Key != key || e.ElapsedNS <= 0 {
-		return 0, false
-	}
-	return time.Duration(e.ElapsedNS), true
 }
 
 // Stats reports the cumulative lookup and write counters since Open.

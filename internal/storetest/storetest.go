@@ -2,10 +2,10 @@
 // registry of every persistence backend (fs, mem, sqlite, http —
 // the last over a live in-process control plane) and one
 // shared suite of the behavioral properties the sweeps and CI gates
-// pin — serve/miss accounting, schema invalidation, ElapsedHint
-// survival across schema bumps, GC's keep-predicate, reopen
-// persistence. A new backend is correct when it passes Conformance,
-// not when it resembles the FS code; backend-parameterized tests
+// pin — serve/miss accounting, schema invalidation in place, GC's
+// keep-predicate, reopen persistence. A new backend is correct when it
+// passes Conformance, not when it resembles the FS code;
+// backend-parameterized tests
 // elsewhere (internal/sweep's warm-run byte-identity, the experiments
 // cross-backend merge) iterate Backends the same way.
 //
@@ -194,8 +194,7 @@ func Backends(tb testing.TB) []Backend {
 // schema version, keeping everything else (keys, recorded timings)
 // intact — the state a store is in right after a
 // resultstore.SchemaVersion bump, where every scenario must
-// re-simulate but last run's measurements still feed dispatch-cost
-// estimation (Store.ElapsedHint). Tests and benchmarks of that path
+// re-simulate and overwrite its entry in place. Tests of that path
 // share this one recipe so it cannot drift between them. It goes
 // through the store's raw Backend, so it works on any of them.
 func StaleifySchema(tb testing.TB, s *resultstore.Store) {
@@ -317,12 +316,22 @@ func Conformance(t *testing.T, b Backend) {
 		if _, ok := s.Probe(key); ok {
 			t.Error("stale-schema entry served by Probe")
 		}
-		// The timing survives the bump — dispatch-cost estimation keeps
-		// working through a full re-simulation.
-		if d, ok := s.ElapsedHint(key); !ok || d.Nanoseconds() != 123456789 {
-			t.Errorf("stale-schema hint = %v, %v; want the recorded timing", d, ok)
+		// The bump invalidates in place: the object stays filed under
+		// the same key, timing intact, so re-simulation overwrites it
+		// rather than orphaning it.
+		data, ok := s.Backend().Load(key)
+		if !ok {
+			t.Fatal("stale-schema entry moved away from its key")
 		}
-		// GC reclaims it, and with it the hint.
+		var raw resultstore.Entry
+		if err := json.Unmarshal(data, &raw); err != nil {
+			t.Fatal(err)
+		}
+		if raw.Key != key || raw.Schema == resultstore.SchemaVersion || raw.ElapsedNS != 123456789 {
+			t.Errorf("stale-schema object key=%q schema=%d elapsed=%d; want the same key, a stale schema and the recorded timing",
+				raw.Key, raw.Schema, raw.ElapsedNS)
+		}
+		// GC reclaims it, leaving no object for the key.
 		st, err := s.GC()
 		if err != nil {
 			t.Fatal(err)
@@ -330,8 +339,8 @@ func Conformance(t *testing.T, b Backend) {
 		if st.Kept != 0 || st.Removed != 1 {
 			t.Errorf("gc kept %d removed %d, want 0/1", st.Kept, st.Removed)
 		}
-		if _, ok := s.ElapsedHint(key); ok {
-			t.Error("hint served after GC removed the entry")
+		if _, ok := s.Backend().Load(key); ok {
+			t.Error("an object is still filed under the key after GC removed the entry")
 		}
 	})
 
@@ -351,11 +360,14 @@ func Conformance(t *testing.T, b Backend) {
 		if _, ok := s.Get(key); ok {
 			t.Error("entry with mismatched key served")
 		}
-		if _, ok := s.ElapsedHint(key); ok {
-			t.Error("hint served despite a key mismatch")
+		if _, ok := s.Probe(key); ok {
+			t.Error("entry with mismatched key served by Probe")
 		}
 		if st, err := s.GC(); err != nil || st.Removed != 1 || st.Kept != 0 {
 			t.Errorf("gc = %+v, %v; want the mismatched entry removed", st, err)
+		}
+		if _, ok := s.Backend().Load(key); ok {
+			t.Error("an object is still filed under the key after GC removed the mismatched entry")
 		}
 	})
 
@@ -424,11 +436,12 @@ func Conformance(t *testing.T, b Backend) {
 			t.Fatal(err)
 		}
 		s2 := reopen(t)
-		if _, ok := s2.Get(key); !ok {
+		got, ok := s2.Get(key)
+		if !ok {
 			t.Fatal("reopened handle missed the stored entry")
 		}
-		if d, ok := s2.ElapsedHint(key); !ok || d.Nanoseconds() != 55 {
-			t.Errorf("reopened hint = %v, %v", d, ok)
+		if got.ElapsedNS != 55 {
+			t.Errorf("reopened entry elapsed = %d, want 55", got.ElapsedNS)
 		}
 		if hits, misses, puts := s2.Stats(); hits != 1 || misses != 0 || puts != 0 {
 			t.Errorf("reopened handle stats = %d/%d/%d, want fresh counters 1/0/0", hits, misses, puts)
@@ -497,8 +510,8 @@ func Conformance(t *testing.T, b Backend) {
 		if _, ok := s.GetArtifact(rKey, "k", 1); ok {
 			t.Error("result served as an artifact")
 		}
-		if _, ok := s.ElapsedHint(aKey); ok {
-			t.Error("artifact served an elapsed hint")
+		if _, ok := s.Probe(aKey); ok {
+			t.Error("artifact served as a result by Probe")
 		}
 	})
 

@@ -314,9 +314,13 @@ func TestEstimatedCostOrdering(t *testing.T) {
 
 // TestCostOrderDispatchesStragglerFirst pins the heavy-tail fix where a
 // one-core host's wall clock cannot: on a descending-RU grid the most
-// contended LFD scenario (the ~20× straggler) has the highest spec
-// index, and spec order would start it last. Cost-order dispatch must
-// hand it to the pool first — and with SpecOrderDispatch set, must not.
+// contended LFD scenario has the highest spec index, and spec order
+// would start it last. It costs only about 1.2× LRU at R=4 on this
+// 60-app grid, but front-running the expensive block pays: spec-order
+// dispatch took 0.53–0.60 s against LPT's 0.45–0.49 s on perfbench's
+// fig9-scaled workload (6 alternating pairs, 2-vCPU Linux host, Go
+// 1.24). Cost-order dispatch must hand it to the pool first — and with
+// SpecOrderDispatch set, must not.
 func TestCostOrderDispatchesStragglerFirst(t *testing.T) {
 	spec := fig9Spec(t, 10, 8, 6, 4) // descending: the expensive R=4 block last
 	scenarios, err := spec.Expand()

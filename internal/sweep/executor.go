@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/dynlist"
 	"repro/internal/manager"
 	"repro/internal/metrics"
@@ -31,29 +30,24 @@ import (
 // first scenario error cancels the remaining work.
 //
 // Scenarios are dispatched to the pool in descending estimated cost
-// (longest-processing-time order) rather than spec order: an LFD-family
-// scenario at a low unit count costs an order of magnitude more than LRU
-// at a high one, and feeding it last would leave the pool idle behind a
-// single straggler. With a Store attached, the estimate prefers the
-// measured wall time a previous run recorded with each entry (served by
-// ElapsedHint across schema versions, so even the full re-simulation
-// after a schema bump dispatches on real measurements); scenarios never
-// simulated before are predicted by a per-policy-family linear cost
-// model fitted over those measurements and updated live as completions
-// land (see internal/costmodel and costCalibrator), so even never-seen
-// grid points rank on calibrated estimates. Collection stays in spec order either way, held to a
-// bounded reorder window so a sweep never buffers more than O(workers)
-// completed results — the property that lets SummaryCollector sweeps run
-// grids far larger than memory would hold as ResultSets. The memory
-// bound and the cost-order look-ahead are the same knob: dispatch may
-// reorder only within the window (in-order collection could otherwise
-// buffer the whole grid), so on grids larger than the window the
-// expensive scenarios are front-run within each window's reach rather
-// than globally — a straggler at the grid's far end still starts up to
-// a window early, with the remaining cheap scenarios backfilling behind
-// it. Policies are the innermost axis, so any window wider than the
-// policy axis sees every policy family at once and the worst imbalance
-// (cheap and dear series interleaved) is fully reordered.
+// (longest-processing-time order) rather than spec order, so the most
+// expensive scenarios start first and cheap ones backfill behind them
+// instead of the pool idling behind a late straggler. The estimate is
+// the static estimatedCost heuristic alone, with or without a Store:
+// stored wall times never steer dispatch. Collection stays in spec
+// order either way, held to a bounded reorder window so a sweep never
+// buffers more than O(workers) completed results — the property that
+// lets SummaryCollector sweeps run grids far larger than memory would
+// hold as ResultSets. The memory bound and the cost-order look-ahead
+// are the same knob: dispatch may reorder only within the window
+// (in-order collection could otherwise buffer the whole grid), so on
+// grids larger than the window the expensive scenarios are front-run
+// within each window's reach rather than globally — a straggler at the
+// grid's far end still starts up to a window early, with the remaining
+// cheap scenarios backfilling behind it. Policies are the innermost
+// axis, so any window wider than the policy axis sees every policy
+// family at once and the worst imbalance (cheap and dear series
+// interleaved) is fully reordered.
 //
 // With a Store attached, every scenario's canonical config hash is looked
 // up before it runs: hits are served from disk (neither the simulation
@@ -243,22 +237,13 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 	window := reorderWindow(workers)
 
 	// Dispatch cost estimates (spec order is free: cost identical ⇒ the
-	// earlier position wins the scan below). With a store attached, a
-	// scenario whose previous simulation left a measured wall time behind
-	// is ranked by that measurement; the rest are predicted by a linear
-	// cost model fitted per policy family over the measurements (see
-	// internal/costmodel), falling back to the static heuristic only when
-	// nothing has ever been measured. The calibrator keeps learning from
-	// live completions below, so long sweeps self-calibrate mid-run.
+	// earlier position wins the scan below). The static heuristic alone
+	// ranks the grid, store or no store: stored timings never steer
+	// dispatch, so a warm sweep reads each entry exactly once (the serve).
 	costs := make([]float64, len(owned))
-	var calib *costCalibrator
 	if !e.SpecOrderDispatch {
 		for p := skip; p < len(owned); p++ {
 			costs[p] = estimatedCost(&scenarios[owned[p]])
-		}
-		if keys != nil {
-			calib = newCostCalibrator(e.Store, scenarios, owned, keys, skip)
-			calib.apply(costs, nil)
 		}
 	}
 
@@ -379,13 +364,6 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 				continue // the sweep already failed; drop the result
 			}
 			pending[done.pos] = done.res
-			if calib != nil && done.res.Elapsed > 0 {
-				// A live simulation just measured itself (store serves have
-				// Elapsed == 0 and teach nothing): fold it into the model
-				// and re-rank what has not been dispatched yet.
-				calib.observe(done.pos, done.res.Elapsed)
-				calib.apply(costs, dispatched)
-			}
 			if e.observePending != nil {
 				e.observePending(len(pending) + inFlight)
 			}
@@ -420,114 +398,6 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 	return collectErr
 }
 
-// costCalibrator ranks dispatch on measured reality instead of the
-// static heuristic. At construction it probes the store for every owned
-// scenario's measured wall time (ElapsedHint serves timings across
-// schema versions — after a bump, the warm re-run that re-simulates
-// everything is exactly the run that profits most from last time's
-// measurements) and seeds a per-policy-family linear cost model with
-// them. apply then writes each position's best estimate: the exact
-// measurement where one exists, the family's fitted prediction
-// otherwise (internal/costmodel's fallback chain ends at the rescaled
-// heuristic, so a never-measured grid still sorts sensibly). As live
-// completions land, observe feeds them back in and apply re-ranks the
-// undispatched remainder — a cold sweep calibrates itself mid-run. Like
-// the heuristic, all of this affects wall clock only, never results.
-//
-// On a fully warm run each entry file is read twice — the hint probe
-// here, the serve in runStored. Deliberate: memoizing decoded entries
-// between the two would hold O(grid) raw results and break the
-// executor's O(workers) memory bound, while the second read hits the
-// page cache and a warm serve is ~instant regardless of its dispatch
-// position.
-type costCalibrator struct {
-	model     *costmodel.Model
-	family    []string  // per owned position: policy family key
-	load      []float64 // per owned position: workload length / RUs
-	heuristic []float64 // per owned position: static estimatedCost
-	measured  []float64 // per owned position: stored wall time (ns), 0 if none
-}
-
-// newCostCalibrator probes the store for every owned scenario past the
-// resume skip and seeds the model. keys index the full grid; owned
-// positions map into it. Skipped positions stay unprobed — they were
-// collected by a previous attempt and will never be dispatched, so a
-// hint read per skipped scenario would be pure backend traffic.
-func newCostCalibrator(store *resultstore.Store, scenarios []Scenario, owned []int, keys []string, skip int) *costCalibrator {
-	cal := &costCalibrator{
-		model:     costmodel.New(),
-		family:    make([]string, len(owned)),
-		load:      make([]float64, len(owned)),
-		heuristic: make([]float64, len(owned)),
-		measured:  make([]float64, len(owned)),
-	}
-	for p := skip; p < len(owned); p++ {
-		i := owned[p]
-		sc := &scenarios[i]
-		cal.family[p] = costFamily(sc)
-		cal.load[p] = scenarioLoad(sc)
-		cal.heuristic[p] = estimatedCost(sc)
-		if hint, ok := store.ElapsedHint(keys[i]); ok {
-			cal.measured[p] = float64(hint)
-			cal.model.Observe(cal.family[p], cal.load[p], cal.heuristic[p], hint)
-		}
-	}
-	return cal
-}
-
-// apply writes the current best cost estimate for every position not yet
-// dispatched (dispatched == nil means all): the measurement where one
-// exists, the model's prediction otherwise, the untouched heuristic only
-// while the model knows nothing at all.
-func (cal *costCalibrator) apply(costs []float64, dispatched []bool) {
-	for p := range costs {
-		if dispatched != nil && dispatched[p] {
-			continue
-		}
-		if cal.measured[p] > 0 {
-			costs[p] = cal.measured[p]
-			continue
-		}
-		if pred, ok := cal.model.Predict(cal.family[p], cal.load[p], cal.heuristic[p]); ok {
-			costs[p] = pred
-		}
-	}
-}
-
-// observe folds one live completion's measured wall time into the model.
-func (cal *costCalibrator) observe(p int, elapsed time.Duration) {
-	cal.model.Observe(cal.family[p], cal.load[p], cal.heuristic[p], elapsed)
-}
-
-// costFamily buckets a scenario for cost modeling: the policy's
-// canonical key plus the event-skip and prefetch flags, i.e. exactly the
-// policy-side inputs that change how much work one decision costs.
-// Scenarios of one family differ only in workload and unit count, which
-// is what the model's load regressor captures.
-func costFamily(sc *Scenario) string {
-	key := sc.Policy.Key
-	if key == "" {
-		key = "name:" + sc.Policy.Name
-	}
-	if sc.Policy.Skip {
-		key += "+skip"
-	}
-	if sc.Policy.CrossGraphPrefetch {
-		key += "+prefetch"
-	}
-	if sc.Policy.ConservativePrefetch {
-		key += "+conserve"
-	}
-	return key
-}
-
-// scenarioLoad is the cost model's regressor: workload length over unit
-// count — decisions grow with queue length and contention shrinks with
-// units, the same shape the static heuristic scales by policy weight.
-func scenarioLoad(sc *Scenario) float64 {
-	return float64(len(sc.Workload.Seq)) / float64(sc.RUs)
-}
-
 // estimatedCost ranks a scenario for dispatch order: a heuristic for
 // relative simulation time, never correctness — a bad estimate costs
 // wall clock, nothing else. Cost grows with the workload length and the
@@ -556,8 +426,12 @@ func policyCostWeight(p PolicySpec) float64 {
 		}
 		return 2
 	case strings.Contains(key, "lfd"):
-		// Full-future scans dominate every other policy by an order of
-		// magnitude on long sequences.
+		// An LFD decision is O(candidates) (the per-run next-use index),
+		// so LFD costs about 1.2× LRU per scenario at R=4 on a 60-app
+		// fig9 grid, far less than this weight says. It stays because the
+		// ranking it yields pays: spec-order dispatch took 0.53–0.60 s
+		// against LPT's 0.45–0.49 s on perfbench's fig9-scaled workload
+		// (6 alternating pairs, 2-vCPU Linux host, Go 1.24).
 		return 64
 	default:
 		return 1
@@ -798,7 +672,7 @@ func runScenario(sp *Spec, sc Scenario, ideals *idealCache, runner *manager.Runn
 	// Only the scenario's own simulation is timed: the ideal baseline and
 	// the design-time mobility tables are shared across the sweep, so
 	// folding their one-off cost into whichever scenario happened to pay
-	// it would skew the measured dispatch costs of warm re-runs.
+	// it would misattribute it.
 	start := time.Now()
 	run, err := runner.Run(cfg, dynlist.NewSequence(sc.Workload.Seq...))
 	if err != nil {

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,43 +32,62 @@ func fabricateTimings(t *testing.T, store *resultstore.Store, spec Spec, elapsed
 	return keys
 }
 
-// TestMeasuredCostDispatchOrder pins the measured-cost feed: with a store
-// carrying per-scenario wall times, dispatch must follow the measurements
-// in descending order — even where they contradict the static heuristic.
-// The fabricated timings are largest at spec index 0 (an LRU scenario the
-// heuristic ranks cheapest), so a heuristic feed would start elsewhere.
-func TestMeasuredCostDispatchOrder(t *testing.T) {
+// countingBackend wraps a store backend and counts Load calls per key,
+// so tests can pin how many backend reads a sweep makes per entry.
+type countingBackend struct {
+	resultstore.Backend
+	mu    sync.Mutex
+	loads map[string]int
+}
+
+func (b *countingBackend) Load(key string) ([]byte, bool) {
+	b.mu.Lock()
+	b.loads[key]++
+	b.mu.Unlock()
+	return b.Backend.Load(key)
+}
+
+// TestWarmSweepReadsEachEntryOnce pins that stored timings never steer
+// dispatch: a warm store-backed sweep reads each entry from the backend
+// exactly once (the serve, no separate timing probe), and dispatches in
+// the same order as the store-less sweep even though the fabricated
+// timings descend in spec order — the opposite of the static heuristic,
+// which starts with the contended LFD block at the grid's end.
+func TestWarmSweepReadsEachEntryOnce(t *testing.T) {
 	spec := fig9Spec(t, 6, 4)
 	spec.NoBaseline = true
 	n := spec.Size()
-	store := openStore(t)
-	fabricateTimings(t, store, spec, func(i int) time.Duration {
+	backend := &countingBackend{Backend: resultstore.NewMem(), loads: map[string]int{}}
+	keys := fabricateTimings(t, resultstore.FromBackend(backend), spec, func(i int) time.Duration {
 		return time.Duration(n-i) * time.Millisecond // descending in spec order
 	})
+	store := resultstore.FromBackend(backend)
 
 	order := dispatchOrder(t, Executor{Workers: 1, Store: store}, spec)
-	for step, idx := range order {
-		if idx != step {
-			t.Fatalf("dispatch step %d ran scenario %d; measured costs descend in spec order, so dispatch must too (full order %v)", step, idx, order)
+	for _, key := range keys {
+		if got := backend.loads[key]; got != 1 {
+			t.Errorf("warm sweep read entry %s from the backend %d times, want exactly 1", key[:12], got)
 		}
 	}
-
-	// Without the store the same grid must NOT dispatch in spec order:
-	// the heuristic starts with the expensive contended LFD block at the
-	// grid's end. This guards against the measured feed silently becoming
-	// a no-op (the assertion above would then pass vacuously).
-	heuristic := dispatchOrder(t, Executor{Workers: 1}, spec)
-	if heuristic[0] == 0 {
-		t.Fatalf("heuristic dispatch also starts at spec index 0 — the measured-order assertion proves nothing (order %v)", heuristic)
+	if hits, misses, puts := store.Stats(); hits != int64(n) || misses != 0 || puts != 0 {
+		t.Fatalf("warm stats hits=%d misses=%d puts=%d, want %d/0/0", hits, misses, puts, n)
+	}
+	storeless := dispatchOrder(t, Executor{Workers: 1}, spec)
+	if !reflect.DeepEqual(order, storeless) {
+		t.Fatalf("store-backed dispatch order %v differs from the store-less order %v: stored timings steered dispatch", order, storeless)
+	}
+	// Guard against vacuity: the fabricated timings would put spec index
+	// 0 first, so a timing-driven feed could not match the heuristic.
+	if storeless[0] == 0 {
+		t.Fatalf("store-less dispatch starts at spec index 0, like the fabricated timings — the order assertion proves nothing (order %v)", storeless)
 	}
 }
 
-// TestMeasuredCostSurvivesSchemaBump is the case the hint path exists
-// for: after a schema bump every entry is unservable (the whole grid
-// re-simulates) but the timings recorded at the same keys still drive
-// dispatch. The re-simulation then overwrites the stale entries in place
-// with fresh measurements.
-func TestMeasuredCostSurvivesSchemaBump(t *testing.T) {
+// TestSchemaBumpResimulatesInPlace: after a schema bump every entry is
+// unservable, so the whole grid re-simulates, and the re-simulation
+// overwrites each stale entry in place (keys exclude the schema
+// version) with a fresh measured timing.
+func TestSchemaBumpResimulatesInPlace(t *testing.T) {
 	spec := fig9Spec(t, 6, 4)
 	spec.NoBaseline = true
 	n := spec.Size()
@@ -82,11 +103,8 @@ func TestMeasuredCostSurvivesSchemaBump(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	order := dispatchOrder(t, Executor{Workers: 1, Store: store}, spec)
-	for step, idx := range order {
-		if idx != step {
-			t.Fatalf("dispatch step %d ran scenario %d; stale-schema timings must still order dispatch (full order %v)", step, idx, order)
-		}
+	if err := (Executor{Workers: 1, Store: store}).Collect(spec, Discard); err != nil {
+		t.Fatal(err)
 	}
 	// Unservable entries mean every scenario really re-simulated and was
 	// written back under the current schema, with a real measurement.
@@ -102,70 +120,6 @@ func TestMeasuredCostSurvivesSchemaBump(t *testing.T) {
 		if ent.ElapsedNS <= 0 {
 			t.Fatalf("rewritten entry for %s lost the measured timing", key[:12])
 		}
-	}
-}
-
-// TestMeasuredCostPartialHintsCalibrated covers the mixed grid under the
-// cost model: a few scenarios measured, the rest predicted per policy
-// family. The grid is fig9 at RUs {6, 4} — spec indices 0-3 are the R=6
-// block (LRU, LocalLFD, LocalLFD+skip, LFD), 4-7 the R=4 block. Two
-// stored measurements contradict the static heuristic as hard as
-// possible: scenario 0 (LRU at R=6, the heuristic's cheapest) took an
-// hour, scenario 1 (Local LFD at R=6, ranked above LRU) took a
-// nanosecond.
-//
-// The model must generalize each measurement to its whole family — not
-// just pin the measured point: the unmeasured LRU at R=4 (index 4)
-// inherits hour-scale cost and dispatches ahead of every live-measured
-// scenario, while the unmeasured Local LFD at R=4 (index 5) sinks with
-// its family to the very end. Mid-run self-calibration fills in the
-// families with no stored data from live completions (the LFD block's
-// real wall times are milliseconds, dwarfed by the hour anchor), so the
-// full dispatch order is deterministic under only the weak assumption
-// that a real 60-app simulation takes between ~100ns and well under an
-// hour.
-func TestMeasuredCostPartialHintsCalibrated(t *testing.T) {
-	spec := fig9Spec(t, 6, 4)
-	spec.NoBaseline = true
-	store := openStore(t)
-	keys, err := spec.ScenarioKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range map[int]time.Duration{0: time.Hour, 1: time.Nanosecond} {
-		ent := &resultstore.Entry{
-			ElapsedNS: int64(d),
-			Run:       &resultstore.Run{Executed: 1, Graphs: 1},
-		}
-		if err := store.Put(keys[i], ent); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	order := dispatchOrder(t, Executor{Workers: 1, Store: store}, spec)
-	// Initial ranking: the never-measured LFD and skip families sort by
-	// the median-rescaled heuristic (the hour anchor makes them huge, LFD
-	// R=4 largest); the LRU family line predicts 1.5h for R=4; the Local
-	// LFD family sinks to nanoseconds. After the first live completion the
-	// model learns real (millisecond) scales for the unseen families, so
-	// the hour-calibrated LRU family overtakes them — mid-run
-	// recalibration is what puts 4 and 0 in positions 1 and 2. The
-	// relative order of the three remaining live scenarios (3, 6, 2)
-	// depends on this machine's real wall-time ratios, so only their
-	// position block is pinned; the nanosecond-family pair closes the run.
-	if order[0] != 7 || order[1] != 4 || order[2] != 0 {
-		t.Fatalf("calibrated dispatch order %v, want it to open 7 (median-scaled LFD), 4 (hour-family LRU R=4), 0 (hour-measured)", order)
-	}
-	mid := map[int]bool{order[3]: true, order[4]: true, order[5]: true}
-	if !mid[3] || !mid[6] || !mid[2] {
-		t.Fatalf("calibrated dispatch order %v, want the live block {3, 6, 2} in positions 3-5", order)
-	}
-	if order[6] != 5 || order[7] != 1 {
-		t.Fatalf("calibrated dispatch order %v, want the nanosecond family last: 5 (predicted) then 1 (measured)", order)
-	}
-	heuristic := dispatchOrder(t, Executor{Workers: 1}, spec)
-	if hLast := heuristic[len(heuristic)-1]; hLast == 1 {
-		t.Fatalf("heuristic alone also dispatches scenario 1 last — the family-demotion assertion proves nothing (order %v)", heuristic)
 	}
 }
 
@@ -187,13 +141,13 @@ func (c *orderCheckCollector) Collect(r *Result) error {
 	return nil
 }
 
-// TestPartialHintsSubsetDispatchAndDelivery is the ElapsedHint fallback
-// pin: a grid where only a strict subset of scenarios has stored timings
-// must dispatch the measured ones first (descending measured time) and
-// still deliver every result in spec order, on a concurrent pool. The
-// two LFD scenarios carry hour-scale fabricated measurements, so they
-// outrank every model prediction derived from them; everything else is
-// live-simulated and streamed back in order.
+// TestPartialHintsSubsetDispatchAndDelivery: a grid where only a strict
+// subset of scenarios is stored, with hour-scale timings on the two
+// cheapest-ranked ones, must dispatch exactly as the store-less sweep
+// does (stored timings are not hints to dispatch) and still deliver
+// every result in spec order, on a concurrent pool. The stored pair is
+// served from the store; everything else is live-simulated and
+// streamed back in order.
 func TestPartialHintsSubsetDispatchAndDelivery(t *testing.T) {
 	spec := fig9Spec(t, 6, 4)
 	spec.NoBaseline = true
@@ -203,8 +157,8 @@ func TestPartialHintsSubsetDispatchAndDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Spec indices 3 and 7 are the LFD scenarios (R=6 and R=4).
-	for i, d := range map[int]time.Duration{3: 2 * time.Hour, 7: time.Hour} {
+	// Spec indices 0 and 4 are the LRU scenarios (R=6 and R=4).
+	for i, d := range map[int]time.Duration{0: 2 * time.Hour, 4: time.Hour} {
 		ent := &resultstore.Entry{
 			ElapsedNS: int64(d),
 			Run:       &resultstore.Run{Executed: 1, Graphs: 1},
@@ -230,10 +184,10 @@ func TestPartialHintsSubsetDispatchAndDelivery(t *testing.T) {
 	if c.got != n {
 		t.Fatalf("collected %d of %d results", c.got, n)
 	}
-	if len(order) < 2 || order[0] != 3 || order[1] != 7 {
-		t.Fatalf("dispatch order %v, want the measured scenarios first: 3 (2h) then 7 (1h)", order)
+	if storeless := dispatchOrder(t, Executor{Workers: 2}, spec); !reflect.DeepEqual(order, storeless) {
+		t.Fatalf("dispatch order %v, want the store-less order %v", order, storeless)
 	}
-	// The measured pair was served from the store, the rest simulated and
+	// The stored pair was served from the store, the rest simulated and
 	// written back — a partial store must never re-simulate what it has
 	// nor skip persisting what it lacks.
 	if hits, misses, puts := store.Stats(); hits != 2 || misses != int64(n-2) || puts != int64(n-2) {
@@ -242,7 +196,7 @@ func TestPartialHintsSubsetDispatchAndDelivery(t *testing.T) {
 }
 
 // TestElapsedRecordedAndServed: a cold store-backed sweep records every
-// scenario's measured wall time on its entry (ElapsedHint serves it), and
+// scenario's measured wall time on its entry (Entry.ElapsedNS), and
 // a warm re-run — which simulates nothing — reports zero Elapsed on its
 // results instead of replaying the stale measurement as its own.
 func TestElapsedRecordedAndServed(t *testing.T) {
@@ -264,8 +218,8 @@ func TestElapsedRecordedAndServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range keys {
-		if hint, ok := store.ElapsedHint(key); !ok || hint <= 0 {
-			t.Errorf("no elapsed hint recorded for %s", key[:12])
+		if ent, ok := store.Get(key); !ok || ent.ElapsedNS <= 0 {
+			t.Errorf("no elapsed time recorded for %s", key[:12])
 		}
 	}
 
