@@ -111,9 +111,11 @@ type Config struct {
 	// and a non-zero mismatch is refused — a host with a shorter TTL than
 	// the pool would steal live leases and duplicate their work.
 	LeaseTTL time.Duration
-	// Heartbeat is the refresh (and idle-poll) interval RunWorkers uses;
-	// 0 means a quarter of the lease TTL. It must be comfortably below
-	// the TTL or live leases will be stolen.
+	// Heartbeat is the lease refresh interval RunWorkers uses, and the
+	// longest an idle claim loop waits before claiming again: it waits
+	// for a sibling loop's completion or one heartbeat, whichever comes
+	// first. 0 means a quarter of the lease TTL. It must be comfortably
+	// below the TTL or live leases will be stolen.
 	Heartbeat time.Duration
 	// Fingerprint, when non-empty, identifies the sweep this pool is
 	// running (experiments, workload parameters, shard count — whatever

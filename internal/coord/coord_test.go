@@ -524,6 +524,116 @@ func TestRunWorkersRecoversDeadLease(t *testing.T) {
 	}
 }
 
+// TestRunWorkersReturnsAtDrain: with a minute-long TTL (15 s heartbeat)
+// the loop that finds the last shard leased to its sibling must be woken
+// by that sibling's completion, not sleep out a heartbeat.
+func TestRunWorkersReturnsAtDrain(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(Config{Dir: dir, Shards: 3, Owner: "pool", LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	stats, err := c.RunWorkers(2, func(ShardRun) error {
+		time.Sleep(20 * time.Millisecond)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 3*time.Second {
+		t.Fatalf("pool returned after %v, want well under the %v heartbeat", elapsed, c.HeartbeatInterval())
+	}
+	if stats.Completed != 3 {
+		t.Fatalf("completed %d shards, want 3", stats.Completed)
+	}
+}
+
+// TestRunWorkersWaitsForForeignLease: a live lease held by another
+// process keeps the pool running even though its loops wake each other
+// on completion; once that lease is done the pool returns within about
+// one heartbeat.
+func TestRunWorkersWaitsForForeignLease(t *testing.T) {
+	dir := t.TempDir()
+	const ttl = 2 * time.Second
+	other, err := Open(Config{Dir: dir, Shards: 4, Owner: "other", LeaseTTL: ttl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := other.Claim()
+	if err != nil || foreign == nil {
+		t.Fatal(foreign, err)
+	}
+	hbStop := make(chan struct{})
+	hbDone := make(chan struct{})
+	go func() {
+		defer close(hbDone)
+		for {
+			select {
+			case <-hbStop:
+				return
+			case <-time.After(100 * time.Millisecond):
+				if err := foreign.Heartbeat(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+
+	c, err := Open(Config{Dir: dir, Owner: "pool"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran atomic.Int32
+	type result struct {
+		stats RunStats
+		err   error
+	}
+	res := make(chan result, 1)
+	go func() {
+		stats, err := c.RunWorkers(2, func(r ShardRun) error {
+			if r.Shard == foreign.Shard {
+				t.Errorf("pool ran shard %d, which is leased live to another owner", r.Shard)
+			}
+			time.Sleep(20 * time.Millisecond)
+			ran.Add(1)
+			return nil
+		})
+		res <- result{stats, err}
+	}()
+
+	// Let the pool finish its own shards and wake its idle loops a few
+	// times over; it must still be waiting on the foreign lease.
+	deadline := time.Now().Add(ttl)
+	for ran.Load() < 3 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	select {
+	case r := <-res:
+		close(hbStop)
+		<-hbDone
+		t.Fatalf("pool returned while a foreign lease was live: %+v %v", r.stats, r.err)
+	case <-time.After(300 * time.Millisecond):
+	}
+	close(hbStop)
+	<-hbDone
+	if err := foreign.Done(); err != nil {
+		t.Fatal(err)
+	}
+	done := time.Now()
+	r := <-res
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if waited, hb := time.Since(done), c.HeartbeatInterval(); waited > hb+time.Second {
+		t.Fatalf("pool returned %v after the foreign shard was done, want about one heartbeat (%v)", waited, hb)
+	}
+	if r.stats.Completed != 3 || r.stats.Recovered != 0 {
+		t.Fatalf("stats %+v, want 3 completed, 0 recovered", r.stats)
+	}
+}
+
 // TestRunWorkersPropagatesError: the first shard error stops the local
 // pool and surfaces with the shard coordinates.
 func TestRunWorkersPropagatesError(t *testing.T) {

@@ -39,9 +39,13 @@ type ShardRun struct {
 // RunWorkers drains the pool: `workers` concurrent claim loops, each
 // claiming a shard, running fn on it with heartbeats maintained in the
 // background (at a quarter of the lease TTL), marking it done and moving
-// on. A loop that finds nothing claimable polls until every shard is
-// done — covering the self-healing case where the only remaining shard
-// is leased to a worker that has died and must first expire.
+// on. A loop that finds nothing claimable waits until a sibling loop of
+// this process finishes a shard or one heartbeat passes, whichever comes
+// first, then claims again; it returns once every shard is done. So a
+// single-process pool returns as soon as its last shard is done, while a
+// loop waiting on another process's lease — including the self-healing
+// case where that worker has died and its lease must first expire —
+// polls at the heartbeat.
 //
 // The first fn error stops this process's loops and is returned; the
 // erroring shard's lease is left to expire so other processes (or a
@@ -65,6 +69,9 @@ func (c *Coordinator) RunWorkers(workers int, fn func(ShardRun) error) (RunStats
 		firstErr error
 		stop     = make(chan struct{})
 		stopOnce sync.Once
+		// finished is closed and replaced (under mu) whenever a loop
+		// completes a shard, waking the idle loops.
+		finished = make(chan struct{})
 	)
 	abort := func(err error) {
 		mu.Lock()
@@ -89,6 +96,12 @@ func (c *Coordinator) RunWorkers(workers int, fn func(ShardRun) error) (RunStats
 		go func() {
 			defer wg.Done()
 			for !stopped() {
+				// Take the completion channel before claiming, so a
+				// sibling finishing between Claim/Status and the wait
+				// below still wakes this loop.
+				mu.Lock()
+				wake := finished
+				mu.Unlock()
 				lease, err := c.Claim()
 				if err != nil {
 					abort(err)
@@ -106,6 +119,7 @@ func (c *Coordinator) RunWorkers(workers int, fn func(ShardRun) error) (RunStats
 					select {
 					case <-stop:
 						return
+					case <-wake:
 					case <-time.After(interval):
 					}
 					continue
@@ -123,6 +137,8 @@ func (c *Coordinator) RunWorkers(workers int, fn func(ShardRun) error) (RunStats
 				if lost {
 					stats.LostLeases++
 				}
+				close(finished)
+				finished = make(chan struct{})
 				mu.Unlock()
 			}
 		}()

@@ -19,8 +19,15 @@ import (
 // recipe (which would silently invalidate or, worse, mis-hit every
 // store) fails loudly.
 type Hash struct {
-	h hash.Hash
+	h   hash.Hash
+	buf [hashChunk]byte // framed bytes not yet written to h
+	n   int
 }
+
+// hashChunk is how many framed bytes a Hash gathers before writing them
+// to SHA-256. A scenario key's whole stream fits, so it is hashed in one
+// write at Sum.
+const hashChunk = 512
 
 // NewHash starts a canonical config hash. The schema version is
 // deliberately NOT part of the key: a key identifies a configuration,
@@ -32,21 +39,41 @@ func NewHash() *Hash {
 	return &Hash{h: sha256.New()}
 }
 
-func (h *Hash) frame(b []byte) {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
-	h.h.Write(n[:])
-	h.h.Write(b)
+func (h *Hash) flush() {
+	h.h.Write(h.buf[:h.n])
+	h.n = 0
+}
+
+// frame appends (len(b), b) to the pending stream, writing the buffer to
+// SHA-256 whenever it fills. It takes strings and byte slices alike so
+// no component is converted, and nothing allocates.
+func frame[T string | []byte](h *Hash, b T) {
+	if h.n+8 > hashChunk {
+		h.flush()
+	}
+	binary.LittleEndian.PutUint64(h.buf[h.n:], uint64(len(b)))
+	h.n += 8
+	for len(b) > 0 {
+		if h.n == hashChunk {
+			h.flush()
+		}
+		c := copy(h.buf[h.n:], b)
+		h.n += c
+		b = b[c:]
+	}
 }
 
 // Bytes folds in a named binary component.
 func (h *Hash) Bytes(name string, v []byte) {
-	h.frame([]byte(name))
-	h.frame(v)
+	frame(h, name)
+	frame(h, v)
 }
 
 // String folds in a named string component.
-func (h *Hash) String(name, v string) { h.Bytes(name, []byte(v)) }
+func (h *Hash) String(name, v string) {
+	frame(h, name)
+	frame(h, v)
+}
 
 // Int folds in a named integer component.
 func (h *Hash) Int(name string, v int64) {
@@ -57,11 +84,11 @@ func (h *Hash) Int(name string, v int64) {
 
 // Bool folds in a named flag.
 func (h *Hash) Bool(name string, v bool) {
-	b := []byte{0}
+	b := "\x00"
 	if v {
-		b[0] = 1
+		b = "\x01"
 	}
-	h.Bytes(name, b)
+	h.String(name, b)
 }
 
 // Float folds in a named float component via its IEEE-754 bits.
@@ -74,5 +101,6 @@ func (h *Hash) Float(name string, v float64) {
 // Sum finalizes the digest as lowercase hex. The Hash must not be used
 // afterwards.
 func (h *Hash) Sum() string {
-	return hex.EncodeToString(h.h.Sum(nil))
+	h.flush()
+	return hex.EncodeToString(h.h.Sum(h.buf[:0]))
 }

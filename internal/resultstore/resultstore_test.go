@@ -1,7 +1,13 @@
 package resultstore
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"hash"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -318,5 +324,87 @@ func TestHashFramingAndDeterminism(t *testing.T) {
 	}
 	if len(base) != 64 {
 		t.Errorf("digest length %d, want 64 hex chars", len(base))
+	}
+}
+
+// unbufferedHash is the original framing, kept as the reference: every
+// frame goes to SHA-256 as two separate writes, length then bytes.
+type unbufferedHash struct{ h hash.Hash }
+
+func (u unbufferedHash) frame(b []byte) {
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
+	u.h.Write(n[:])
+	u.h.Write(b)
+}
+
+// TestHashMatchesUnbufferedFraming: buffering changes only how the
+// framed stream reaches SHA-256, never the digest — so every stored key
+// stays valid. Random component sequences cover empty names and values
+// and components longer than the buffer.
+func TestHashMatchesUnbufferedFraming(t *testing.T) {
+	rng := rand.New(rand.NewSource(2011))
+	sizes := []int{0, 1, 7, 8, 9, hashChunk - 9, hashChunk - 8, hashChunk - 1, hashChunk, hashChunk + 1, 3*hashChunk + 5}
+	randBytes := func() []byte {
+		n := sizes[rng.Intn(len(sizes))]
+		if rng.Intn(2) == 0 {
+			n = rng.Intn(2 * hashChunk)
+		}
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	for iter := 0; iter < 500; iter++ {
+		h := NewHash()
+		ref := unbufferedHash{sha256.New()}
+		for k := rng.Intn(12); k > 0; k-- {
+			name := string(randBytes())
+			ref.frame([]byte(name))
+			var v [8]byte
+			switch rng.Intn(5) {
+			case 0:
+				b := randBytes()
+				h.Bytes(name, b)
+				ref.frame(b)
+			case 1:
+				b := randBytes()
+				h.String(name, string(b))
+				ref.frame(b)
+			case 2:
+				x := rng.Int63() - rng.Int63()
+				h.Int(name, x)
+				binary.LittleEndian.PutUint64(v[:], uint64(x))
+				ref.frame(v[:])
+			case 3:
+				x := rng.Intn(2) == 1
+				h.Bool(name, x)
+				if x {
+					ref.frame([]byte{1})
+				} else {
+					ref.frame([]byte{0})
+				}
+			case 4:
+				x := rng.NormFloat64()
+				h.Float(name, x)
+				binary.LittleEndian.PutUint64(v[:], math.Float64bits(x))
+				ref.frame(v[:])
+			}
+		}
+		if got, want := h.Sum(), hex.EncodeToString(ref.h.Sum(nil)); got != want {
+			t.Fatalf("iteration %d: buffered digest %s, unbuffered %s", iter, got, want)
+		}
+	}
+}
+
+// TestHashComponentsDoNotAllocate pins the scenario-key hot path: once a
+// Hash exists, folding in components allocates nothing.
+func TestHashComponentsDoNotAllocate(t *testing.T) {
+	h := NewHash()
+	if avg := testing.AllocsPerRun(100, func() {
+		h.Int("rus", 4)
+		h.String("policy", "lfd")
+		h.Bool("skip_events", true)
+	}); avg != 0 {
+		t.Fatalf("%v allocations per Int/String/Bool round, want 0", avg)
 	}
 }
